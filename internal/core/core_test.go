@@ -357,7 +357,8 @@ func TestLossHomogenizedStreamIsolation(t *testing.T) {
 	h.process(Batch{Joins: js})
 	r := h.process(Batch{Leaves: leaves(4, 7)}) // one leaver per tree
 
-	for _, st := range r.Streams {
+	routes := NewRoutes(r)
+	for i, st := range r.Streams {
 		if st.Label == "group" {
 			continue
 		}
@@ -365,15 +366,17 @@ func TestLossHomogenizedStreamIsolation(t *testing.T) {
 		if _, err := fmtSscanf(st.Label, &treeIdx); err != nil {
 			t.Fatalf("unexpected stream label %q", st.Label)
 		}
-		for _, it := range st.Items {
-			for _, rcv := range it.Receivers {
-				got, err := s.TreeOf(rcv)
-				if err != nil {
-					t.Fatalf("TreeOf(%d): %v", rcv, err)
-				}
-				if got != treeIdx {
-					t.Fatalf("stream %q item reaches member %d of tree %d", st.Label, rcv, got)
-				}
+		need := routes.StreamRoute(i)
+		for _, rcv := range s.Members() {
+			if len(need(rcv)) == 0 {
+				continue
+			}
+			got, err := s.TreeOf(rcv)
+			if err != nil {
+				t.Fatalf("TreeOf(%d): %v", rcv, err)
+			}
+			if got != treeIdx {
+				t.Fatalf("stream %q item reaches member %d of tree %d", st.Label, rcv, got)
 			}
 		}
 	}

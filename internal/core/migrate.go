@@ -69,7 +69,7 @@ func Migrate(from, to Scheme, metaOf func(keytree.MemberID) MemberMeta, rng ...O
 	if err != nil {
 		return nil, err
 	}
-	bridge := Stream{Label: "migration-bridge", Audience: members}
+	bridge := Stream{Label: "migration-bridge", Audience: to.Members}
 	for _, m := range members {
 		welcome, ok := rekey.Welcome[m]
 		if !ok {
@@ -79,12 +79,7 @@ func Migrate(from, to Scheme, metaOf func(keytree.MemberID) MemberMeta, rng ...O
 		if err != nil {
 			return nil, err
 		}
-		bridge.JoinerItems = append(bridge.JoinerItems, keytree.Item{
-			Wrapped:   w,
-			Kind:      keytree.JoinerWrap,
-			Level:     0,
-			Receivers: []keytree.MemberID{m},
-		})
+		bridge.JoinerItems = append(bridge.JoinerItems, keytree.Item{Wrapped: w, Kind: keytree.JoinerWrap, To: m})
 	}
 	rekey.Streams = append(rekey.Streams, bridge)
 	// The welcome keys were delivered in-band; the registration channel is

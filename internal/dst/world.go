@@ -399,22 +399,15 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 		})
 	}
 
-	// Existing members: lossy multicast, item-filtered by receiver set.
+	// Existing members: lossy multicast of the items the server routes
+	// to them.
+	routes := core.NewRoutes(rk)
 	for _, id := range sortedMemberIDs(g.members) {
 		sm := g.members[id]
 		if em.waiting[id] {
 			continue // joiner, handled above
 		}
-		var recv []keytree.Item
-		for _, it := range items {
-			if !itemFor(it, id) {
-				continue
-			}
-			if sm.lost(w) {
-				continue
-			}
-			recv = append(recv, it)
-		}
+		recv := multicastFor(routes, items, id, func() bool { return sm.lost(w) })
 		em.waiting[id] = true
 		w.sched.After(w.latency(), "rekey.mcast", func() {
 			sm.m.Apply(recv)
@@ -449,18 +442,16 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 	}
 }
 
-// itemFor reports whether a multicast item addresses the member (empty
-// receiver set = broadcast item).
-func itemFor(it keytree.Item, id keytree.MemberID) bool {
-	if len(it.Receivers) == 0 {
-		return true
-	}
-	for _, r := range it.Receivers {
-		if r == id {
-			return true
+// multicastFor returns the items of member id's route — the same rule the
+// key server's sparse frames follow — that survive lost, in item order.
+func multicastFor(routes *core.Routes, items []keytree.Item, id keytree.MemberID, lost func() bool) []keytree.Item {
+	var recv []keytree.Item
+	for _, i := range routes.Route(id) {
+		if !lost() {
+			recv = append(recv, items[i])
 		}
 	}
-	return false
+	return recv
 }
 
 // repairTick models the NACK/history repair service: every member pulls

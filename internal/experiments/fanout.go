@@ -3,6 +3,8 @@ package experiments
 import (
 	"crypto/ed25519"
 
+	"groupkey/internal/core"
+	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 	"groupkey/internal/wire"
 )
@@ -24,37 +26,37 @@ type FanoutResult struct {
 	Reduction float64 `json:"reduction"`
 }
 
-// measureFanout builds a tree of the given size, runs one churn batch, and
-// prices both delivery paths from the exact wire encodings. No signing or
-// hashing throughput is involved — this is a byte-accounting measurement,
-// so it is deterministic for a given seed.
+// measureFanout builds a one-tree group of the given size, runs one churn
+// batch, and prices both delivery paths from the exact wire encodings. No
+// signing or hashing throughput is involved — this is a byte-accounting
+// measurement, so it is deterministic for a given seed.
 func measureFanout(cfg PerfConfig, size int) (FanoutResult, error) {
-	tr, err := keytree.New(4, WithPerfRand(cfg.Seed))
+	s, err := core.NewOneTree(core.WithDegree(4), core.WithRand(keycrypt.NewDeterministicReader(cfg.Seed)))
 	if err != nil {
 		return FanoutResult{}, err
 	}
-	prime := keytree.Batch{}
+	prime := core.Batch{}
 	for i := 1; i <= size; i++ {
-		prime.Joins = append(prime.Joins, keytree.MemberID(i))
+		prime.Joins = append(prime.Joins, core.Join{ID: keytree.MemberID(i)})
 	}
-	if _, err := tr.Rekey(prime); err != nil {
+	if _, err := s.ProcessBatch(prime); err != nil {
 		return FanoutResult{}, err
 	}
-	b := keytree.Batch{}
-	members := tr.Members()
+	b := core.Batch{}
+	members := s.Members()
 	next := keytree.MemberID(size + 1)
 	for j := 0; j < cfg.Churn; j++ {
 		slot := (j * 997) % len(members)
 		b.Leaves = append(b.Leaves, members[slot])
-		b.Joins = append(b.Joins, next)
+		b.Joins = append(b.Joins, core.Join{ID: next})
 		members[slot] = next
 		next++
 	}
-	p, err := tr.Rekey(b)
+	rk, err := s.ProcessBatch(b)
 	if err != nil {
 		return FanoutResult{}, err
 	}
-	items := p.AllItems()
+	items := rk.AllItems()
 
 	full, err := wire.EncodeRekey(1, items)
 	if err != nil {
@@ -71,10 +73,10 @@ func measureFanout(cfg PerfConfig, size int) (FanoutResult, error) {
 	tree := wire.NewItemTree(len(items), func(i int) []byte {
 		return itemBuf[i*wire.RekeyItemSize : (i+1)*wire.RekeyItemSize]
 	})
-	index := wire.SparseIndex(items)
+	routes := core.NewRoutes(rk)
 	total := 0
-	for _, m := range tr.Members() {
-		total += wire.SparseFrameSize(tree, index[m])
+	for _, m := range s.Members() {
+		total += wire.SparseFrameSize(tree, routes.Route(m))
 	}
 	mean := float64(total) / float64(size)
 

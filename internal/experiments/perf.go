@@ -202,8 +202,8 @@ func RekeyPerf(cfg PerfConfig) (*Table, *PerfReport, error) {
 	t.AddNote("planner chose a non-greedy placement on %d/%d planned batches (%d rebalance moves).",
 		stats.PlannedBatches, stats.PlannedBatches+stats.GreedyFallbacks, stats.Moves)
 
-	t.AddNote("serial = pre-engine emitter (per-wrap key schedule, walk-and-sort receivers);")
-	t.AddNote("parallel = plan/emit engine (cached schedules, merged receivers, %d wrap workers).", report.GOMAXPR)
+	t.AddNote("serial = pre-engine emitter (per-wrap key schedule, one wrap at a time);")
+	t.AddNote("parallel = plan/emit engine (cached schedules, %d wrap workers).", report.GOMAXPR)
 	t.AddNote("Payloads are byte-identical between variants; see keytree determinism tests.")
 	return t, report, nil
 }

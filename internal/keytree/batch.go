@@ -61,8 +61,9 @@ func (k ItemKind) String() string {
 }
 
 // Item is one encrypted key in a rekey payload, with the routing metadata
-// reliable rekey transport protocols need: which members still require it
-// (the sparseness property) and how deep the payload key sits in the tree.
+// reliable rekey transport protocols need: who requires it (the
+// sparseness property, see Router) and how deep the payload key sits in
+// the tree.
 type Item struct {
 	Wrapped keycrypt.WrappedKey
 	Kind    ItemKind
@@ -70,8 +71,13 @@ type Item struct {
 	// increasing toward the leaves. Transport protocols weight low-level
 	// (close-to-root) keys more heavily because more members need them.
 	Level int
-	// Receivers lists the members that need this item, ascending.
-	Receivers []MemberID
+	// To addresses the item to one member (joiner paths, move bridges,
+	// individual-key wraps). Zero makes it a multicast item: it is for
+	// every holder of the wrapping key (Wrapped.WrapperID) not in Exclude.
+	To MemberID
+	// Exclude is the batch's shared exclusion set — joiners and movers,
+	// who receive the same keys through addressed items. Read-only.
+	Exclude map[MemberID]bool
 }
 
 // Payload is the output of one batched rekey operation.
@@ -427,12 +433,7 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 		if err != nil {
 			return nil, fmt.Errorf("keytree: wrapping move bridge for member %d: %w", br.member, err)
 		}
-		p.JoinerItems = append(p.JoinerItems, Item{
-			Wrapped:   w,
-			Kind:      LeafRefresh,
-			Level:     br.leaf.Depth(),
-			Receivers: []MemberID{br.member},
-		})
+		p.JoinerItems = append(p.JoinerItems, Item{Wrapped: w, Kind: LeafRefresh, Level: br.leaf.Depth(), To: br.member})
 	}
 
 	p.Placement = Placement{
@@ -450,9 +451,9 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 }
 
 // emitLegacy is the pre-engine emitter: wraps are produced one at a time,
-// deepest nodes first, re-deriving receiver lists by subtree walk and the
-// AES key schedule per wrap. Its output defines the payload byte format
-// the engine must reproduce exactly.
+// deepest nodes first, re-deriving the AES key schedule per wrap. Its
+// output defines the payload byte format the engine must reproduce
+// exactly.
 func (t *Tree) emitLegacy(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool) (*Payload, error) {
 	// Phase 5: emit wraps, deepest nodes first for readable payloads.
 	nodes := make([]*Node, 0, len(dirty))
@@ -467,14 +468,14 @@ func (t *Tree) emitLegacy(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool)
 		return nodes[i].key.ID < nodes[j].key.ID
 	})
 
+	reaches := t.reachCounter(joiners)
 	p := &Payload{}
 	for _, n := range nodes {
 		info := dirty[n]
 		level := n.Depth()
 		if info.departure || info.isNew {
 			for _, c := range n.children {
-				receivers := t.receiversUnder(c, joiners)
-				if len(receivers) == 0 {
+				if !reaches(c) {
 					// Every member under c is a joiner of this batch and
 					// receives the key through its JoinerWrap path instead;
 					// multicasting this wrap would carry zero information.
@@ -484,28 +485,17 @@ func (t *Tree) emitLegacy(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool)
 				if err != nil {
 					return nil, fmt.Errorf("keytree: wrapping %s under %s: %w", n.key.ID, c.key.ID, err)
 				}
-				p.Items = append(p.Items, Item{
-					Wrapped:   w,
-					Kind:      ChildWrap,
-					Level:     level,
-					Receivers: receivers,
-				})
+				p.Items = append(p.Items, Item{Wrapped: w, Kind: ChildWrap, Level: level, Exclude: joiners})
 			}
 		} else {
-			receivers := t.receiversUnder(n, joiners)
-			if len(receivers) == 0 {
+			if !reaches(n) {
 				continue
 			}
 			w, err := wrapUncached(n.key, info.oldKey, t.gen.Rand)
 			if err != nil {
 				return nil, fmt.Errorf("keytree: wrapping %s under old version: %w", n.key.ID, err)
 			}
-			p.Items = append(p.Items, Item{
-				Wrapped:   w,
-				Kind:      OldKeyWrap,
-				Level:     level,
-				Receivers: receivers,
-			})
+			p.Items = append(p.Items, Item{Wrapped: w, Kind: OldKeyWrap, Level: level, Exclude: joiners})
 		}
 	}
 
@@ -522,12 +512,7 @@ func (t *Tree) emitLegacy(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool)
 			if err != nil {
 				return nil, fmt.Errorf("keytree: wrapping path key for joiner %d: %w", m, err)
 			}
-			p.JoinerItems = append(p.JoinerItems, Item{
-				Wrapped:   w,
-				Kind:      JoinerWrap,
-				Level:     n.Depth(),
-				Receivers: []MemberID{m},
-			})
+			p.JoinerItems = append(p.JoinerItems, Item{Wrapped: w, Kind: JoinerWrap, Level: n.Depth(), To: m})
 		}
 	}
 	return p, nil
@@ -652,15 +637,16 @@ func (t *Tree) attached(n *Node) bool {
 	return false
 }
 
-// receiversUnder collects the members under n, excluding the given joiners
-// (who receive their keys through JoinerWrap items instead).
-func (t *Tree) receiversUnder(n *Node, exclude map[MemberID]bool) []MemberID {
-	out := make([]MemberID, 0, n.leaves)
-	walk(n, func(x *Node) {
-		if x.member != 0 && !exclude[x.member] {
-			out = append(out, x.member)
+// reachCounter returns the emitters' skip test: whether a wrap under n's
+// key reaches anyone, i.e. n's subtree holds a member outside the batch's
+// joiners (who get the key through their JoinerWrap paths instead). It
+// counts the joiners beneath each node once, walking up from each joiner.
+func (t *Tree) reachCounter(joiners map[MemberID]bool) func(n *Node) bool {
+	under := make(map[*Node]int, len(joiners))
+	for m := range joiners {
+		for n := t.leaves[m]; n != nil; n = n.parent {
+			under[n]++
 		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	}
+	return func(n *Node) bool { return n.leaves > under[n] }
 }

@@ -151,14 +151,17 @@ func TestRekeyReceiversSets(t *testing.T) {
 	// Receivers of root-level child wraps must partition the remaining
 	// membership: every member needs the new root exactly once.
 	seen := make(map[MemberID]int)
-	for _, it := range p.Items {
-		if it.Level != 0 {
-			continue
-		}
-		if it.Kind != ChildWrap {
-			t.Fatalf("root item kind %v after departure, want ChildWrap", it.Kind)
-		}
-		for _, m := range it.Receivers {
+	router := NewRouter(p.Items)
+	for m := MemberID(1); m <= 64; m++ {
+		path, _ := tr.PathIDs(nil, m)
+		for _, i := range router.Route(nil, m, path) {
+			it := p.Items[i]
+			if it.Level != 0 {
+				continue
+			}
+			if it.Kind != ChildWrap {
+				t.Fatalf("root item kind %v after departure, want ChildWrap", it.Kind)
+			}
 			seen[m]++
 		}
 	}

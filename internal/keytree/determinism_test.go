@@ -17,9 +17,7 @@ func marshalPayload(tb testing.TB, p *Payload) []byte {
 	for _, it := range p.AllItems() {
 		fmt.Fprintf(&buf, "%d|%d|", it.Kind, it.Level)
 		buf.Write(it.Wrapped.Marshal())
-		for _, m := range it.Receivers {
-			fmt.Fprintf(&buf, "|%d", m)
-		}
+		fmt.Fprintf(&buf, "|%d|%d", it.To, len(it.Exclude))
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()

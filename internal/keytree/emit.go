@@ -18,12 +18,11 @@ import (
 // The engine splits emission into two steps:
 //
 //  1. Plan (single-threaded): sort the dirty nodes by precomputed depth,
-//     build every Item's metadata (kind, level, receivers) and draw one
+//     build every Item's metadata (kind, level, addressing) and draw one
 //     nonce per wrap from the tree's entropy source in the exact order the
-//     serial emitter would. Receiver lists are built bottom-up — a dirty
-//     node's list is the linear merge of its children's already-sorted
-//     lists, clean subtrees are walked exactly once — instead of the
-//     legacy walk-and-sort per wrap.
+//     serial emitter would. Items name no receivers: a multicast item is
+//     for the holders of its wrapping key minus the batch's joiners (see
+//     Router), so planning is O(dirty nodes), not O(members).
 //  2. Emit (parallel): fan the AES-GCM seals out over a bounded worker
 //     pool, each job writing into its pre-assigned payload slot through
 //     the tree's cached-key-schedule Wrapper.
@@ -72,7 +71,7 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 	if joinerCap > 0 {
 		p.JoinerItems = make([]Item, 0, joinerCap)
 	}
-	recv := newReceiverIndex(t, dirty, joiners)
+	reaches := t.reachCounter(joiners)
 	itemJobs := make([]wrapJob, 0, itemCap)
 	joinerJobs := make([]wrapJob, 0, joinerCap)
 
@@ -82,8 +81,7 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 		level := depths[i]
 		if info.departure || info.isNew {
 			for _, c := range n.children {
-				receivers := recv.under(c)
-				if len(receivers) == 0 {
+				if !reaches(c) {
 					// Every member under c is a joiner of this batch and
 					// receives the key through its JoinerWrap path instead;
 					// multicasting this wrap would carry zero information.
@@ -93,19 +91,18 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 				if err != nil {
 					return nil, err
 				}
-				p.Items = append(p.Items, Item{Kind: ChildWrap, Level: level, Receivers: receivers})
+				p.Items = append(p.Items, Item{Kind: ChildWrap, Level: level, Exclude: joiners})
 				itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: c.key, nonce: nonce})
 			}
 		} else {
-			receivers := recv.under(n)
-			if len(receivers) == 0 {
+			if !reaches(n) {
 				continue
 			}
 			nonce, err := nonces.next()
 			if err != nil {
 				return nil, err
 			}
-			p.Items = append(p.Items, Item{Kind: OldKeyWrap, Level: level, Receivers: receivers})
+			p.Items = append(p.Items, Item{Kind: OldKeyWrap, Level: level, Exclude: joiners})
 			itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: info.oldKey, nonce: nonce})
 		}
 	}
@@ -125,7 +122,7 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 			if err != nil {
 				return nil, err
 			}
-			p.JoinerItems = append(p.JoinerItems, Item{Kind: JoinerWrap, Level: level, Receivers: []MemberID{m}})
+			p.JoinerItems = append(p.JoinerItems, Item{Kind: JoinerWrap, Level: level, To: m})
 			joinerJobs = append(joinerJobs, wrapJob{payload: n.key, wrapper: leaf.key, nonce: nonce})
 		}
 	}
@@ -190,114 +187,6 @@ func sortDirtyNodes(dirty map[*Node]*dirtyInfo) ([]*Node, []int) {
 		depths[i] = nd.d
 	}
 	return nodes, depths
-}
-
-// receiverIndex computes sorted receiver lists (members under a node,
-// batch joiners excluded) with memoization: since dirtiness is
-// upward-closed, a dirty node's list is the merge of its children's lists,
-// and each clean subtree on the dirty frontier is walked exactly once.
-// Lists are shared between items; they are read-only by contract.
-type receiverIndex struct {
-	tree    *Tree
-	dirty   map[*Node]*dirtyInfo
-	exclude map[MemberID]bool
-	memo    map[*Node][]MemberID
-}
-
-func newReceiverIndex(t *Tree, dirty map[*Node]*dirtyInfo, exclude map[MemberID]bool) *receiverIndex {
-	return &receiverIndex{
-		tree:    t,
-		dirty:   dirty,
-		exclude: exclude,
-		// Memo holds the dirty nodes plus their immediate clean children.
-		memo: make(map[*Node][]MemberID, 2*len(dirty)),
-	}
-}
-
-// under returns the sorted receivers beneath n. The result may alias lists
-// stored in other Items' Receivers; callers must not mutate it.
-func (r *receiverIndex) under(n *Node) []MemberID {
-	if out, ok := r.memo[n]; ok {
-		return out
-	}
-	var out []MemberID
-	if _, isDirty := r.dirty[n]; !isDirty || n.IsLeaf() {
-		// Clean (or leaf) subtree: collect and sort once.
-		out = collectMembers(n, r.exclude, make([]MemberID, 0, n.leaves))
-		slices.Sort(out)
-	} else {
-		lists := make([][]MemberID, 0, len(n.children))
-		for _, c := range n.children {
-			lists = append(lists, r.under(c))
-		}
-		out = mergeSorted(lists)
-	}
-	r.memo[n] = out
-	return out
-}
-
-// collectMembers appends the non-excluded members of n's subtree to out in
-// tree order (sorted afterwards by the caller).
-func collectMembers(n *Node, exclude map[MemberID]bool, out []MemberID) []MemberID {
-	if n.member != 0 {
-		if !exclude[n.member] {
-			out = append(out, n.member)
-		}
-		return out
-	}
-	for _, c := range n.children {
-		out = collectMembers(c, exclude, out)
-	}
-	return out
-}
-
-// mergeSorted merges already-sorted lists by cascaded two-way merges — a
-// tight two-pointer loop per pair beats a d-wide min scan per element. A
-// single non-empty input is returned as-is (lists are shared read-only).
-func mergeSorted(lists [][]MemberID) []MemberID {
-	nonEmpty := lists[:0]
-	total := 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			nonEmpty = append(nonEmpty, l)
-			total += len(l)
-		}
-	}
-	switch len(nonEmpty) {
-	case 0:
-		return nil
-	case 1:
-		return nonEmpty[0]
-	case 2:
-		return merge2(nonEmpty[0], nonEmpty[1], make([]MemberID, 0, total))
-	}
-	// Merge the two shortest lists first so later passes move fewer
-	// elements; with tree fan-out d the cascade is at most d-1 merges,
-	// ping-ponging between two buffers (merge2 reads acc, writes spare).
-	sort.Slice(nonEmpty, func(i, j int) bool { return len(nonEmpty[i]) < len(nonEmpty[j]) })
-	acc := merge2(nonEmpty[0], nonEmpty[1], make([]MemberID, 0, total))
-	spare := make([]MemberID, 0, total)
-	for _, l := range nonEmpty[2:] {
-		next := merge2(acc, l, spare[:0])
-		spare = acc
-		acc = next
-	}
-	return acc
-}
-
-func merge2(a, b, out []MemberID) []MemberID {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // runWrapJobs executes the planned seals, inline or across the worker

@@ -364,7 +364,7 @@ func TestRebalancerMovesUnderDrift(t *testing.T) {
 		var bridge *Item
 		for j := range p.JoinerItems {
 			it := &p.JoinerItems[j]
-			if it.Kind == LeafRefresh && len(it.Receivers) == 1 && it.Receivers[0] == mv.Member {
+			if it.Kind == LeafRefresh && it.To == mv.Member {
 				bridge = it
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"groupkey/internal/keytree"
 )
@@ -175,6 +176,16 @@ func (n *Network) RemoveReceiver(id keytree.MemberID) error {
 func (n *Network) HasReceiver(id keytree.MemberID) bool {
 	_, ok := n.receivers[id]
 	return ok
+}
+
+// Receivers returns the registered receiver IDs, ascending.
+func (n *Network) Receivers() []keytree.MemberID {
+	out := make([]keytree.MemberID, 0, len(n.receivers))
+	for id := range n.receivers {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Size returns the number of registered receivers.

@@ -36,8 +36,8 @@ type epochBuffer struct {
 	tree    *wire.ItemTree
 	root    [wire.HashSize]byte
 	rootSig []byte
-	// index maps each member to the ascending item indexes it needs.
-	index map[keytree.MemberID][]uint32
+	// routes answers which items a member needs, from its key path.
+	routes *core.Routes
 	// full is the signed legacy full-payload frame, for clients that never
 	// negotiated CapSparse and for the resume re-delivery buffer.
 	full []byte
@@ -49,7 +49,7 @@ type epochBuffer struct {
 var itemBufPool = sync.Pool{}
 
 // newEpochBuffer seals one rekey: encode every item once, build and sign
-// the item tree, invert the receiver lists, and keep the signed legacy
+// the item tree, index the items for routing, and keep the signed legacy
 // blob for non-sparse clients. The caller owns the initial reference.
 func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey) (*epochBuffer, error) {
 	items := rekey.AllItems()
@@ -69,7 +69,7 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey) (*epochBuffer, e
 	})
 	eb.root = eb.tree.Root()
 	eb.rootSig = wire.SignSparse(priv, rekey.Epoch, uint32(len(items)), eb.root)
-	eb.index = wire.SparseIndex(items)
+	eb.routes = core.NewRoutes(rekey)
 
 	full, err := wire.EncodeRekey(rekey.Epoch, items)
 	if err != nil {
@@ -88,9 +88,10 @@ func (eb *epochBuffer) item(i int) []byte {
 
 // indexesFor returns the ascending item indexes member m needs this epoch
 // (nil when the epoch carries nothing for m — its frame is the signed
-// heartbeat).
+// heartbeat). Routes read m's current key path from the scheme, so
+// callers hold s.mu, and the epoch must still be the scheme's newest.
 func (eb *epochBuffer) indexesFor(m keytree.MemberID) []uint32 {
-	return eb.index[m]
+	return eb.routes.Route(m)
 }
 
 // sparseSize is the exact MsgRekeySparse payload size for idx, computable

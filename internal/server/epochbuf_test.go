@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"crypto/ed25519"
+	"slices"
 	"testing"
 
 	"groupkey/internal/core"
@@ -13,7 +14,7 @@ import (
 
 // buildEpochBuffer processes a churn batch on a fresh scheme and seals the
 // resulting rekey, returning everything the assertions need.
-func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, *core.Rekey, ed25519.PublicKey) {
+func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, core.Scheme, *core.Rekey, ed25519.PublicKey) {
 	t.Helper()
 	sc := newScheme(t, seed)
 	var b core.Batch
@@ -36,24 +37,39 @@ func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, *core.Rekey, ed2
 		t.Fatal(err)
 	}
 	t.Cleanup(eb.release)
-	return eb, rekey, pub
+	return eb, sc, rekey, pub
 }
 
 // TestEpochBufferSparseFrames checks that every member's assembled sparse
-// frame decodes, verifies, and carries exactly the items the receiver
-// lists address to it — and that sparseSize predicted the frame size.
+// frame decodes, verifies, and carries exactly the items wrapped under
+// keys the member holds (the batch has no joiners to exclude) — and that
+// sparseSize predicted the frame size.
 func TestEpochBufferSparseFrames(t *testing.T) {
-	eb, rekey, pub := buildEpochBuffer(t, 50)
+	eb, sc, rekey, pub := buildEpochBuffer(t, 50)
 	items := rekey.AllItems()
 	if eb.nItems != len(items) {
 		t.Fatalf("nItems=%d, want %d", eb.nItems, len(items))
 	}
-	want := wire.SparseIndex(items)
 	covered := 0
-	for m, idx := range want {
+	for _, m := range sc.Members() {
+		keys, err := sc.MemberKeys(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var idx []uint32
+		for i, it := range items {
+			for _, k := range keys {
+				if k.ID == it.Wrapped.WrapperID {
+					idx = append(idx, uint32(i))
+				}
+			}
+		}
 		got := eb.indexesFor(m)
-		if len(got) != len(idx) {
-			t.Fatalf("member %d: %d indexes, want %d", m, len(got), len(idx))
+		if !slices.Equal(got, idx) {
+			t.Fatalf("member %d: indexes %v, want %v", m, got, idx)
+		}
+		if len(idx) == 0 {
+			continue
 		}
 		frame := eb.appendSparseFrame(nil, got)
 		if n := eb.sparseSize(got); n != len(frame) {
@@ -96,7 +112,7 @@ func TestEpochBufferSparseFrames(t *testing.T) {
 // consecutive indexes and reproduce exactly the appendSparseFrame item
 // bytes.
 func TestEpochBufferItemRanges(t *testing.T) {
-	eb, _, _ := buildEpochBuffer(t, 51)
+	eb, _, _, _ := buildEpochBuffer(t, 51)
 	if eb.nItems < 8 {
 		t.Skipf("epoch too small (%d items)", eb.nItems)
 	}

@@ -220,11 +220,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		if cfg.Transport != nil {
-			for _, st := range rekey.Streams {
+			routes := core.NewRoutes(rekey)
+			for i, st := range rekey.Streams {
 				if len(st.Items) == 0 {
 					continue
 				}
-				tres, err := cfg.Transport.Deliver(st.Items, net)
+				tres, err := cfg.Transport.Deliver(st.Items, routes.StreamRoute(i), net)
 				if err != nil {
 					return nil, fmt.Errorf("sim: transporting stream %q: %w", st.Label, err)
 				}
@@ -235,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				// Every subscriber of the stream's multicast group hears
 				// all of its packets (Section 4.4 fairness accounting).
-				for _, m := range st.Audience {
+				for _, m := range st.Audience() {
 					heard[m] += tres.PacketsSent
 				}
 			}

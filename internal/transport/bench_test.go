@@ -10,7 +10,7 @@ import (
 
 // benchScenario builds a standard payload (8 departures from a 1024-member
 // tree) and a 10%-loss network.
-func benchScenario(b *testing.B, seed uint64) ([]keytree.Item, []keytree.MemberID) {
+func benchScenario(b *testing.B, seed uint64) ([]keytree.Item, func(keytree.MemberID) []uint32, []keytree.MemberID) {
 	b.Helper()
 	tr, err := keytree.New(4, keytree.WithRand(keycrypt.NewDeterministicReader(seed)))
 	if err != nil {
@@ -31,11 +31,11 @@ func benchScenario(b *testing.B, seed uint64) ([]keytree.Item, []keytree.MemberI
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p.Items, tr.Members()
+	return p.Items, treeRoute(tr, p.Items), tr.Members()
 }
 
 func benchProtocol(b *testing.B, build func() Protocol) {
-	items, members := benchScenario(b, 1)
+	items, need, members := benchScenario(b, 1)
 	var keys int
 	for i := 0; i < b.N; i++ {
 		net := netsim.New(uint64(i + 1))
@@ -44,7 +44,7 @@ func benchProtocol(b *testing.B, build func() Protocol) {
 				b.Fatal(err)
 			}
 		}
-		res, err := build().Deliver(items, net)
+		res, err := build().Deliver(items, need, net)
 		if err != nil {
 			b.Fatal(err)
 		}

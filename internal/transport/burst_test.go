@@ -12,7 +12,7 @@ import (
 // Bernoulli scenarios — failure injection beyond the paper's independent-
 // loss assumption.
 func TestProtocolsDeliverUnderBurstLoss(t *testing.T) {
-	items, members := buildPayload(t, 40, 4, 256, []keytree.MemberID{10, 100, 200})
+	items, need, members := buildPayload(t, 40, 4, 256, []keytree.MemberID{10, 100, 200})
 	protocols := []func() Protocol{
 		func() Protocol { return NewWKABKR(DefaultConfig()) },
 		func() Protocol { return NewMultiSend(DefaultConfig(), 2) },
@@ -31,7 +31,7 @@ func TestProtocolsDeliverUnderBurstLoss(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res, err := proto.Deliver(items, net)
+			res, err := proto.Deliver(items, need, net)
 			if err != nil {
 				t.Fatalf("Deliver under burst loss: %v", err)
 			}
@@ -50,7 +50,7 @@ func TestProtocolsDeliverUnderBurstLoss(t *testing.T) {
 // losses concentrate deficits on a few receivers and rounds.
 func TestBurstLossCostsMoreThanIndependentLoss(t *testing.T) {
 	run := func(burst bool) int {
-		items, members := buildPayload(t, 42, 4, 512, []keytree.MemberID{7, 70, 300, 444})
+		items, need, members := buildPayload(t, 42, 4, 512, []keytree.MemberID{7, 70, 300, 444})
 		net := netsim.New(43)
 		for _, m := range members {
 			var lp netsim.LossProcess
@@ -67,7 +67,7 @@ func TestBurstLossCostsMoreThanIndependentLoss(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := NewWKABKR(DefaultConfig()).Deliver(items, net)
+		res, err := NewWKABKR(DefaultConfig()).Deliver(items, need, net)
 		if err != nil {
 			t.Fatalf("Deliver: %v", err)
 		}

@@ -112,7 +112,7 @@ func ProactiveParity(k int, losses []float64, min, max int) int {
 }
 
 // Deliver implements Protocol.
-func (pf *ProactiveFEC) Deliver(items []keytree.Item, net *netsim.Network) (Result, error) {
+func (pf *ProactiveFEC) Deliver(items []keytree.Item, need func(keytree.MemberID) []uint32, net *netsim.Network) (Result, error) {
 	if err := pf.Config.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -127,7 +127,7 @@ func (pf *ProactiveFEC) Deliver(items []keytree.Item, net *netsim.Network) (Resu
 		order = BreadthFirst
 	}
 
-	rs := newReceiverState(items, net)
+	rs := newReceiverState(need, net)
 	if rs.satisfied() {
 		return Result{Delivered: true}, nil
 	}

@@ -16,7 +16,7 @@ func TestMetricsNilSafe(t *testing.T) {
 }
 
 func TestWKABKRRecordsMetrics(t *testing.T) {
-	items, members := buildPayload(t, 11, 4, 128, []keytree.MemberID{5, 40})
+	items, need, members := buildPayload(t, 11, 4, 128, []keytree.MemberID{5, 40})
 	cfg := DefaultConfig()
 	cfg.LossEstimate = func(keytree.MemberID) float64 { return 0.2 }
 	net := lossNetwork(t, 11, members, 0.2)
@@ -24,7 +24,7 @@ func TestWKABKRRecordsMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	proto := NewWKABKR(cfg)
 	proto.Metrics = NewMetrics(reg)
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -77,12 +77,12 @@ func TestWKABKRRecordsMetrics(t *testing.T) {
 }
 
 func TestMultiSendRecordsMetrics(t *testing.T) {
-	items, members := buildPayload(t, 12, 4, 64, []keytree.MemberID{9})
+	items, need, members := buildPayload(t, 12, 4, 64, []keytree.MemberID{9})
 	net := lossNetwork(t, 12, members, 0.1)
 	reg := metrics.NewRegistry()
 	proto := NewMultiSend(DefaultConfig(), 2)
 	proto.Metrics = NewMetrics(reg)
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -95,14 +95,14 @@ func TestMultiSendRecordsMetrics(t *testing.T) {
 }
 
 func TestProactiveFECRecordsParity(t *testing.T) {
-	items, members := buildPayload(t, 13, 4, 256, []keytree.MemberID{3, 77})
+	items, need, members := buildPayload(t, 13, 4, 256, []keytree.MemberID{3, 77})
 	net := lossNetwork(t, 13, members, 0.15)
 	cfg := DefaultConfig()
 	reg := metrics.NewRegistry()
 	proto := NewProactiveFEC(cfg)
 	proto.Rho = 1.25
 	proto.Metrics = NewMetrics(reg)
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -123,11 +123,11 @@ func TestMetricsAccumulateAcrossDeliveries(t *testing.T) {
 	m := NewMetrics(reg)
 	cfg := DefaultConfig()
 	for i := 0; i < 3; i++ {
-		items, members := buildPayload(t, 20+uint64(i), 4, 32, []keytree.MemberID{2})
+		items, need, members := buildPayload(t, 20+uint64(i), 4, 32, []keytree.MemberID{2})
 		net := lossNetwork(t, 20+uint64(i), members, 0)
 		proto := NewWKABKR(cfg)
 		proto.Metrics = m
-		if _, err := proto.Deliver(items, net); err != nil {
+		if _, err := proto.Deliver(items, need, net); err != nil {
 			t.Fatalf("Deliver %d: %v", i, err)
 		}
 	}

@@ -30,7 +30,7 @@ func NewMultiSend(cfg Config, replication int) *MultiSend {
 func (ms *MultiSend) Name() string { return "multi-send" }
 
 // Deliver implements Protocol.
-func (ms *MultiSend) Deliver(items []keytree.Item, net *netsim.Network) (Result, error) {
+func (ms *MultiSend) Deliver(items []keytree.Item, need func(keytree.MemberID) []uint32, net *netsim.Network) (Result, error) {
 	if err := ms.Config.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -42,7 +42,7 @@ func (ms *MultiSend) Deliver(items []keytree.Item, net *netsim.Network) (Result,
 		order = BreadthFirst
 	}
 
-	rs := newReceiverState(items, net)
+	rs := newReceiverState(need, net)
 	var res Result
 	defer func() { ms.Metrics.observeResult(res) }()
 	for round := 0; round < ms.Config.MaxRounds; round++ {

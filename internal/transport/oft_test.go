@@ -52,12 +52,16 @@ func TestOFTPayloadOverTransports(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			res, err := proto.Deliver(items, net)
+			res, err := proto.Deliver(items, oftRoute(t, tree, items), net)
 			if err != nil {
 				t.Fatalf("Deliver: %v", err)
 			}
 			if !res.Delivered {
 				t.Fatal("OFT payload not delivered")
+			}
+			// Every multicast OFT item has a receiver, so each goes out.
+			if res.KeysSent < len(items) {
+				t.Fatalf("sent %d keys for %d needed items", res.KeysSent, len(items))
 			}
 		})
 	}
@@ -92,7 +96,7 @@ func TestDeliveryQuickProperty(t *testing.T) {
 			}
 			received[m] = make(map[int]bool)
 		}
-		res, err := NewWKABKR(DefaultConfig()).Deliver(p.Items, net)
+		res, err := NewWKABKR(DefaultConfig()).Deliver(p.Items, treeRoute(tr, p.Items), net)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -111,5 +115,26 @@ func TestDeliveryQuickProperty(t *testing.T) {
 		if res.Rounds != len(res.KeysPerRound) {
 			t.Fatalf("seed %d: rounds %d != per-round entries %d", seed, res.Rounds, len(res.KeysPerRound))
 		}
+	}
+}
+
+// oftRoute routes OFT items by members' node paths: a member computes the
+// secret of every node from its leaf to the root.
+func oftRoute(t *testing.T, tree *keytree.OFT, items []keytree.Item) func(keytree.MemberID) []uint32 {
+	r := keytree.NewRouter(items)
+	return func(m keytree.MemberID) []uint32 {
+		leaf, err := tree.LeafSecret(m)
+		if err != nil {
+			return nil
+		}
+		entries, err := tree.PathOf(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := []keycrypt.KeyID{leaf.ID}
+		for _, e := range entries {
+			path = append(path, e.Parent)
+		}
+		return r.Route(nil, m, path)
 	}
 }

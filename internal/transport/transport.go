@@ -136,9 +136,12 @@ type Protocol interface {
 	// Name identifies the protocol in experiment output.
 	Name() string
 	// Deliver runs the protocol for the given multicast items against the
-	// network and returns transport costs. Receivers not registered in the
-	// network are skipped (they are gone; the key server prunes them).
-	Deliver(items []keytree.Item, net *netsim.Network) (Result, error)
+	// network and returns transport costs. need(m) returns the ascending
+	// indexes of the items receiver m requires — its route, such as
+	// core.Routes.StreamRoute — and is asked only of receivers registered
+	// in the network (departed members are gone; the key server prunes
+	// them).
+	Deliver(items []keytree.Item, need func(keytree.MemberID) []uint32, net *netsim.Network) (Result, error)
 }
 
 // receiverState tracks which items each interested receiver still needs.
@@ -147,22 +150,19 @@ type receiverState struct {
 	need map[keytree.MemberID]map[int]bool
 }
 
-// newReceiverState indexes the items' receiver lists, skipping receivers
-// absent from the network.
-func newReceiverState(items []keytree.Item, net *netsim.Network) *receiverState {
+// newReceiverState routes every registered receiver.
+func newReceiverState(need func(keytree.MemberID) []uint32, net *netsim.Network) *receiverState {
 	rs := &receiverState{need: make(map[keytree.MemberID]map[int]bool)}
-	for i, it := range items {
-		for _, r := range it.Receivers {
-			if !net.HasReceiver(r) {
-				continue
-			}
-			set, ok := rs.need[r]
-			if !ok {
-				set = make(map[int]bool)
-				rs.need[r] = set
-			}
-			set[i] = true
+	for _, r := range net.Receivers() {
+		idx := need(r)
+		if len(idx) == 0 {
+			continue
 		}
+		set := make(map[int]bool, len(idx))
+		for _, i := range idx {
+			set[int(i)] = true
+		}
+		rs.need[r] = set
 	}
 	return rs
 }

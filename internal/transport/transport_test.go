@@ -10,9 +10,9 @@ import (
 )
 
 // buildPayload populates a deterministic tree of n members (degree d),
-// processes a batch with the given leavers, and returns the multicast items
-// plus the surviving member IDs.
-func buildPayload(t *testing.T, seed uint64, d, n int, leavers []keytree.MemberID) ([]keytree.Item, []keytree.MemberID) {
+// processes a batch with the given leavers, and returns the multicast
+// items, their route and the surviving member IDs.
+func buildPayload(t *testing.T, seed uint64, d, n int, leavers []keytree.MemberID) ([]keytree.Item, func(keytree.MemberID) []uint32, []keytree.MemberID) {
 	t.Helper()
 	tr, err := keytree.New(d, keytree.WithRand(keycrypt.NewDeterministicReader(seed)))
 	if err != nil {
@@ -29,7 +29,16 @@ func buildPayload(t *testing.T, seed uint64, d, n int, leavers []keytree.MemberI
 	if err != nil {
 		t.Fatalf("departure rekey: %v", err)
 	}
-	return p.Items, tr.Members()
+	return p.Items, treeRoute(tr, p.Items), tr.Members()
+}
+
+// treeRoute routes a plain tree's payload items by members' key paths.
+func treeRoute(tr *keytree.Tree, items []keytree.Item) func(keytree.MemberID) []uint32 {
+	r := keytree.NewRouter(items)
+	return func(m keytree.MemberID) []uint32 {
+		path, _ := tr.PathIDs(nil, m)
+		return r.Route(nil, m, path)
+	}
 }
 
 // lossNetwork registers members with the given uniform loss rate.
@@ -45,12 +54,12 @@ func lossNetwork(t *testing.T, seed uint64, members []keytree.MemberID, p float6
 }
 
 func TestWKABKRLosslessSingleRound(t *testing.T) {
-	items, members := buildPayload(t, 1, 4, 64, []keytree.MemberID{7})
+	items, need, members := buildPayload(t, 1, 4, 64, []keytree.MemberID{7})
 	net := lossNetwork(t, 1, members, 0)
 	cfg := DefaultConfig()
 	cfg.DefaultLoss = 0 // the server knows the network is clean
 	proto := NewWKABKR(cfg)
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -66,12 +75,12 @@ func TestWKABKRLosslessSingleRound(t *testing.T) {
 }
 
 func TestWKABKRLossyDelivers(t *testing.T) {
-	items, members := buildPayload(t, 2, 4, 256, []keytree.MemberID{3, 99, 200})
+	items, need, members := buildPayload(t, 2, 4, 256, []keytree.MemberID{3, 99, 200})
 	cfg := DefaultConfig()
 	cfg.LossEstimate = func(keytree.MemberID) float64 { return 0.2 }
 	net := lossNetwork(t, 2, members, 0.2)
 	proto := NewWKABKR(cfg)
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -113,12 +122,12 @@ func TestWKABKRWeightsScaleWithReceivers(t *testing.T) {
 }
 
 func TestWKABKRSkipsDepartedReceivers(t *testing.T) {
-	items, members := buildPayload(t, 3, 4, 64, []keytree.MemberID{5})
+	items, need, members := buildPayload(t, 3, 4, 64, []keytree.MemberID{5})
 	// Register only half the survivors: the rest are "gone" and must not
 	// block delivery.
 	net := lossNetwork(t, 3, members[:len(members)/2], 0)
 	proto := NewWKABKR(DefaultConfig())
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -130,7 +139,7 @@ func TestWKABKRSkipsDepartedReceivers(t *testing.T) {
 func TestWKABKREmptyPayload(t *testing.T) {
 	net := netsim.New(4)
 	proto := NewWKABKR(DefaultConfig())
-	res, err := proto.Deliver(nil, net)
+	res, err := proto.Deliver(nil, func(keytree.MemberID) []uint32 { return nil }, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -140,20 +149,20 @@ func TestWKABKREmptyPayload(t *testing.T) {
 }
 
 func TestWKABKRConfigValidation(t *testing.T) {
-	items, members := buildPayload(t, 5, 4, 16, []keytree.MemberID{1})
+	items, need, members := buildPayload(t, 5, 4, 16, []keytree.MemberID{1})
 	net := lossNetwork(t, 5, members, 0)
 	bad := DefaultConfig()
 	bad.KeysPerPacket = 0
-	if _, err := NewWKABKR(bad).Deliver(items, net); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewWKABKR(bad).Deliver(items, need, net); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err=%v, want ErrBadConfig", err)
 	}
 }
 
 func TestMultiSendLosslessReplication(t *testing.T) {
-	items, members := buildPayload(t, 6, 4, 64, []keytree.MemberID{9})
+	items, need, members := buildPayload(t, 6, 4, 64, []keytree.MemberID{9})
 	net := lossNetwork(t, 6, members, 0)
 	proto := NewMultiSend(DefaultConfig(), 2)
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -168,9 +177,9 @@ func TestMultiSendLosslessReplication(t *testing.T) {
 }
 
 func TestMultiSendInvalidReplication(t *testing.T) {
-	items, members := buildPayload(t, 7, 4, 16, []keytree.MemberID{2})
+	items, need, members := buildPayload(t, 7, 4, 16, []keytree.MemberID{2})
 	net := lossNetwork(t, 7, members, 0)
-	if _, err := NewMultiSend(DefaultConfig(), 0).Deliver(items, net); !errors.Is(err, ErrBadConfig) {
+	if _, err := NewMultiSend(DefaultConfig(), 0).Deliver(items, need, net); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("err=%v, want ErrBadConfig", err)
 	}
 }
@@ -181,11 +190,11 @@ func TestWKABKRBeatsMultiSendUnderLowLoss(t *testing.T) {
 	// replication wastes bandwidth that WKA avoids.
 	leavers := []keytree.MemberID{10, 20, 30, 40}
 	run := func(build func() Protocol) int {
-		items, members := buildPayload(t, 8, 4, 512, leavers)
+		items, need, members := buildPayload(t, 8, 4, 512, leavers)
 		cfg := DefaultConfig()
 		cfg.LossEstimate = func(keytree.MemberID) float64 { return 0.02 }
 		net := lossNetwork(t, 8, members, 0.02)
-		res, err := build().Deliver(items, net)
+		res, err := build().Deliver(items, need, net)
 		if err != nil {
 			t.Fatalf("Deliver: %v", err)
 		}
@@ -201,10 +210,10 @@ func TestWKABKRBeatsMultiSendUnderLowLoss(t *testing.T) {
 }
 
 func TestProactiveFECLossless(t *testing.T) {
-	items, members := buildPayload(t, 9, 4, 256, []keytree.MemberID{17, 80})
+	items, need, members := buildPayload(t, 9, 4, 256, []keytree.MemberID{17, 80})
 	net := lossNetwork(t, 9, members, 0)
 	proto := NewProactiveFEC(DefaultConfig())
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -219,10 +228,10 @@ func TestProactiveFECLossless(t *testing.T) {
 }
 
 func TestProactiveFECLossyDelivers(t *testing.T) {
-	items, members := buildPayload(t, 10, 4, 256, []keytree.MemberID{5, 100, 250})
+	items, need, members := buildPayload(t, 10, 4, 256, []keytree.MemberID{5, 100, 250})
 	net := lossNetwork(t, 10, members, 0.2)
 	proto := NewProactiveFEC(DefaultConfig())
-	res, err := proto.Deliver(items, net)
+	res, err := proto.Deliver(items, need, net)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -235,29 +244,29 @@ func TestProactiveFECLossyDelivers(t *testing.T) {
 }
 
 func TestProactiveFECValidation(t *testing.T) {
-	items, members := buildPayload(t, 11, 4, 16, []keytree.MemberID{3})
+	items, need, members := buildPayload(t, 11, 4, 16, []keytree.MemberID{3})
 	net := lossNetwork(t, 11, members, 0)
 	p := NewProactiveFEC(DefaultConfig())
 	p.Rho = 0.5
-	if _, err := p.Deliver(items, net); !errors.Is(err, ErrBadConfig) {
+	if _, err := p.Deliver(items, need, net); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("rho<1: err=%v, want ErrBadConfig", err)
 	}
 	p2 := NewProactiveFEC(DefaultConfig())
 	p2.BlockSize = 0
-	if _, err := p2.Deliver(items, net); !errors.Is(err, ErrBadConfig) {
+	if _, err := p2.Deliver(items, need, net); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("blockSize=0: err=%v, want ErrBadConfig", err)
 	}
 }
 
 func TestPackingOrdersBothDeliver(t *testing.T) {
-	items, members := buildPayload(t, 12, 4, 256, []keytree.MemberID{42})
+	items, need, members := buildPayload(t, 12, 4, 256, []keytree.MemberID{42})
 	for _, order := range []PackOrder{BreadthFirst, DepthFirst} {
 		cfg := DefaultConfig()
 		cfg.LossEstimate = func(keytree.MemberID) float64 { return 0.1 }
 		net := lossNetwork(t, 12, members, 0.1)
 		proto := NewWKABKR(cfg)
 		proto.Order = order
-		res, err := proto.Deliver(items, net)
+		res, err := proto.Deliver(items, need, net)
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
@@ -291,11 +300,11 @@ func TestPackReplicatedDistinctPackets(t *testing.T) {
 
 func TestDeterministicDelivery(t *testing.T) {
 	run := func() Result {
-		items, members := buildPayload(t, 13, 4, 128, []keytree.MemberID{8, 64})
+		items, need, members := buildPayload(t, 13, 4, 128, []keytree.MemberID{8, 64})
 		net := lossNetwork(t, 13, members, 0.1)
 		cfg := DefaultConfig()
 		cfg.LossEstimate = func(keytree.MemberID) float64 { return 0.1 }
-		res, err := NewWKABKR(cfg).Deliver(items, net)
+		res, err := NewWKABKR(cfg).Deliver(items, need, net)
 		if err != nil {
 			t.Fatalf("Deliver: %v", err)
 		}
@@ -308,12 +317,12 @@ func TestDeterministicDelivery(t *testing.T) {
 }
 
 func TestNACKAccounting(t *testing.T) {
-	items, members := buildPayload(t, 60, 4, 256, []keytree.MemberID{8, 90})
+	items, need, members := buildPayload(t, 60, 4, 256, []keytree.MemberID{8, 90})
 	// Lossless: nobody NACKs.
 	cleanNet := lossNetwork(t, 60, members, 0)
 	cfg := DefaultConfig()
 	cfg.DefaultLoss = 0
-	res, err := NewWKABKR(cfg).Deliver(items, cleanNet)
+	res, err := NewWKABKR(cfg).Deliver(items, need, cleanNet)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}
@@ -322,7 +331,7 @@ func TestNACKAccounting(t *testing.T) {
 	}
 	// Lossy: retransmission rounds imply NACK feedback.
 	lossyNet := lossNetwork(t, 61, members, 0.2)
-	res, err = NewWKABKR(DefaultConfig()).Deliver(items, lossyNet)
+	res, err = NewWKABKR(DefaultConfig()).Deliver(items, need, lossyNet)
 	if err != nil {
 		t.Fatalf("Deliver: %v", err)
 	}

@@ -12,7 +12,7 @@ import (
 // every protocol and checks the error both satisfies the sentinel and
 // carries the deficit counts repair logic needs.
 func TestUndeliveredErrorDetail(t *testing.T) {
-	items, members := buildPayload(t, 3, 4, 32, []keytree.MemberID{5})
+	items, need, members := buildPayload(t, 3, 4, 32, []keytree.MemberID{5})
 	net := netsim.New(9)
 	for _, m := range members {
 		if err := net.AddReceiver(m, netsim.Bernoulli{P: 1}); err != nil {
@@ -23,11 +23,11 @@ func TestUndeliveredErrorDetail(t *testing.T) {
 	cfg.MaxRounds = 1
 	protocols := []Protocol{NewWKABKR(cfg), NewMultiSend(cfg, 2), NewProactiveFEC(cfg)}
 	wantSlots := 0
-	for _, it := range items {
-		wantSlots += len(it.Receivers)
+	for _, m := range members {
+		wantSlots += len(need(m))
 	}
 	for _, p := range protocols {
-		_, err := p.Deliver(items, net)
+		_, err := p.Deliver(items, need, net)
 		if !errors.Is(err, ErrUndelivered) {
 			t.Fatalf("%s: err = %v, want ErrUndelivered", p.Name(), err)
 		}
@@ -85,7 +85,7 @@ func TestProactiveParitySizing(t *testing.T) {
 }
 
 func TestPackIndexesCanonical(t *testing.T) {
-	items, _ := buildPayload(t, 4, 3, 27, []keytree.MemberID{2})
+	items, _, _ := buildPayload(t, 4, 3, 27, []keytree.MemberID{2})
 	groups := PackIndexes(items, DepthFirst, 5)
 	seen := make(map[int]bool)
 	for gi, g := range groups {

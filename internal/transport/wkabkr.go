@@ -39,7 +39,7 @@ func NewWKABKR(cfg Config) *WKABKR {
 func (w *WKABKR) Name() string { return "wka-bkr" }
 
 // Deliver implements Protocol.
-func (w *WKABKR) Deliver(items []keytree.Item, net *netsim.Network) (Result, error) {
+func (w *WKABKR) Deliver(items []keytree.Item, need func(keytree.MemberID) []uint32, net *netsim.Network) (Result, error) {
 	if err := w.Config.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -52,7 +52,7 @@ func (w *WKABKR) Deliver(items []keytree.Item, net *netsim.Network) (Result, err
 		order = BreadthFirst
 	}
 
-	rs := newReceiverState(items, net)
+	rs := newReceiverState(need, net)
 	var res Result
 	defer func() { w.Metrics.observeResult(res) }()
 	for round := 0; round < w.Config.MaxRounds; round++ {

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"groupkey/internal/keytree"
 )
@@ -46,27 +45,6 @@ func SparseSigningMessage(epoch uint64, nLeaves uint32, root [HashSize]byte) []b
 // authenticates every member's sparse frame.
 func SignSparse(priv ed25519.PrivateKey, epoch uint64, nLeaves uint32, root [HashSize]byte) []byte {
 	return ed25519.Sign(priv, SparseSigningMessage(epoch, nLeaves, root))
-}
-
-// SparseIndex inverts the items' receiver lists: member → the ascending
-// item (leaf) indexes that member needs. Items with empty receiver lists
-// reach nobody sparsely — the schemes always populate Receivers.
-func SparseIndex(items []keytree.Item) map[keytree.MemberID][]uint32 {
-	index := make(map[keytree.MemberID][]uint32)
-	for i, it := range items {
-		for _, r := range it.Receivers {
-			index[r] = append(index[r], uint32(i))
-		}
-	}
-	// Receiver lists are per-item ascending, but one member's indexes
-	// accumulate in item order, which already ascends — keep the sort as a
-	// cheap invariant guard against future emitters.
-	for _, idx := range index {
-		if !sort.SliceIsSorted(idx, func(a, b int) bool { return idx[a] < idx[b] }) {
-			sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-		}
-	}
-	return index
 }
 
 // HashRekeyItem returns the item-tree leaf hash of one RekeyItemSize-byte

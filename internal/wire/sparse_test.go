@@ -196,34 +196,6 @@ func TestSparseRekeyTamper(t *testing.T) {
 	}
 }
 
-func TestSparseIndex(t *testing.T) {
-	items := []keytree.Item{
-		{Receivers: []keytree.MemberID{1, 2, 3}},
-		{Receivers: []keytree.MemberID{2}},
-		{Receivers: []keytree.MemberID{1, 3}},
-	}
-	index := SparseIndex(items)
-	want := map[keytree.MemberID][]uint32{
-		1: {0, 2},
-		2: {0, 1},
-		3: {0, 2},
-	}
-	if len(index) != len(want) {
-		t.Fatalf("index has %d members, want %d", len(index), len(want))
-	}
-	for m, w := range want {
-		got := index[m]
-		if len(got) != len(w) {
-			t.Fatalf("member %d: %v, want %v", m, got, w)
-		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("member %d: %v, want %v", m, got, w)
-			}
-		}
-	}
-}
-
 func TestRekeyDigestRoundTrip(t *testing.T) {
 	priv := testSigner(t)
 	pub := priv.Public().(ed25519.PublicKey)

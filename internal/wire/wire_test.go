@@ -104,8 +104,9 @@ func TestRekeyRoundTrip(t *testing.T) {
 			Wrapped: w,
 			Kind:    keytree.ChildWrap,
 			Level:   i % 4,
-			// Receivers deliberately set: they must NOT survive the wire.
-			Receivers: []keytree.MemberID{1, 2, 3},
+			// Routing deliberately set: it must NOT survive the wire.
+			To:      3,
+			Exclude: map[keytree.MemberID]bool{1: true},
 		})
 	}
 	blob, err := EncodeRekey(9, items)
@@ -123,8 +124,8 @@ func TestRekeyRoundTrip(t *testing.T) {
 		if got[i].Wrapped != items[i].Wrapped || got[i].Kind != items[i].Kind || got[i].Level != items[i].Level {
 			t.Fatalf("item %d mismatch", i)
 		}
-		if got[i].Receivers != nil {
-			t.Fatal("receiver lists must not cross the wire")
+		if got[i].To != 0 || got[i].Exclude != nil {
+			t.Fatal("routing metadata must not cross the wire")
 		}
 	}
 }
