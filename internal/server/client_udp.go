@@ -127,7 +127,7 @@ func (d *dgramPlane) readLoop() {
 		}
 		if !wire.VerifyDgram(d.c.ServerKey(), pkt) {
 			d.c.mu.Lock()
-			d.c.badSignatures++
+			d.c.rejectFrameLocked()
 			d.c.mu.Unlock()
 			continue
 		}
