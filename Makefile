@@ -110,7 +110,6 @@ chaos-nightly: chaos-bins
 # Short fuzzing pass over the wire protocol and durability decoders.
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeRekey -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeWelcome -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeMembershipBatch -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeSparseRekey -fuzztime=10s ./internal/wire/

@@ -132,8 +132,8 @@ func startJoin(conn net.Conn, group wire.GroupID, req wire.JoinRequest) (*Client
 		done:     make(chan struct{}),
 		data:     make(chan []byte, 64),
 	}
-	// Every client built here understands sparse frames; the flag rides the
-	// join so the server can keep sending full payloads to older binaries.
+	// The server ignores the flag (sparse frames are the only rekey format),
+	// but it stays in the join so the request bytes never change.
 	req.Caps |= wire.CapSparse
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := c.writeFrame(wire.MsgJoin, req.Encode()); err != nil {
@@ -224,22 +224,6 @@ func (c *Client) readLoop() {
 				close(c.welcomed)
 			}
 			c.mu.Unlock()
-		case wire.MsgRekey:
-			c.mu.Lock()
-			inner, err := wire.OpenSignedRekey(c.serverKey, payload)
-			if err != nil {
-				// Forged or corrupted: never apply; count and drop.
-				c.rejectFrameLocked()
-				c.mu.Unlock()
-				continue
-			}
-			c.mu.Unlock()
-			epoch, items, err := wire.DecodeRekey(inner)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.applyRekey(epoch, items)
 		case wire.MsgRekeySparse:
 			sr, err := wire.DecodeSparseRekey(c.ServerKey(), payload)
 			if err != nil {
@@ -320,12 +304,17 @@ func (c *Client) readLoop() {
 		case wire.MsgError:
 			c.fail(fmt.Errorf("server rejected: %s", payload))
 			return
+		default:
+			// An unhandled frame (a full MsgRekey from an older server, say)
+			// would otherwise leave Dial waiting out its timeout.
+			c.fail(fmt.Errorf("server: unexpected %v from server", t))
+			return
 		}
 	}
 }
 
-// applyRekey folds one authenticated rekey payload — full, sparse, or
-// reconstructed from datagrams — into the key store and announces the
+// applyRekey folds one authenticated rekey payload — a sparse frame or
+// one reconstructed from datagrams — into the key store and announces the
 // epoch. Every delivery plane converges here, so secrecy bookkeeping
 // (hand-off tracking, epoch gating) is identical no matter how the keys
 // arrived.
@@ -338,7 +327,7 @@ func (c *Client) applyRekey(epoch uint64, items []keytree.Item) {
 		}
 		// A leaf hand-off can only arrive in a rekey newer than both
 		// our join and everything already processed (the resume ack
-		// re-delivers the last rekey verbatim).
+		// re-delivers the last rekey).
 		c.trackIndividualLocked(items, epoch > c.epoch && epoch > c.joinEpoch)
 	}
 	if epoch > c.epoch {

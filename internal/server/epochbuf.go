@@ -10,13 +10,10 @@ import (
 	"groupkey/internal/wire"
 )
 
-// Encode-once sparse fan-out: broadcastRekeyLocked used to serialize and
-// sign the full rekey payload once, then hand every one of N clients a
-// reference to that full blob — N·I items on the wire for a payload of I
-// items of which each member needs only its O(log N) path. The epoch
-// buffer inverts that: the items are encoded exactly once into one
-// immutable buffer, the Merkle root over them is signed once, and each
-// sparse-capable client's queue gets a tiny {buffer, indexes} descriptor.
+// Encode-once sparse fan-out: a rekey of I items is never sent whole —
+// each member needs only its O(log N) path. The items are encoded exactly
+// once into one immutable buffer, the Merkle root over them is signed
+// once, and each client's queue gets a tiny {buffer, indexes} descriptor.
 // The writer goroutines then assemble per-member sparse frames outside the
 // server lock, emitting item bytes as vectored ranges over the shared
 // buffer — no per-member payload copies, no per-member signatures.
@@ -38,9 +35,6 @@ type epochBuffer struct {
 	rootSig []byte
 	// routes answers which items a member needs, from its key path.
 	routes *core.Routes
-	// full is the signed legacy full-payload frame, for clients that never
-	// negotiated CapSparse and for the resume re-delivery buffer.
-	full []byte
 
 	refs atomic.Int64
 }
@@ -49,8 +43,8 @@ type epochBuffer struct {
 var itemBufPool = sync.Pool{}
 
 // newEpochBuffer seals one rekey: encode every item once, build and sign
-// the item tree, index the items for routing, and keep the signed legacy
-// blob for non-sparse clients. The caller owns the initial reference.
+// the item tree, and index the items for routing. The caller owns the
+// initial reference.
 func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey) (*epochBuffer, error) {
 	items := rekey.AllItems()
 	eb := &epochBuffer{epoch: rekey.Epoch, nItems: len(items)}
@@ -70,13 +64,6 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey) (*epochBuffer, e
 	eb.root = eb.tree.Root()
 	eb.rootSig = wire.SignSparse(priv, rekey.Epoch, uint32(len(items)), eb.root)
 	eb.routes = core.NewRoutes(rekey)
-
-	full, err := wire.EncodeRekey(rekey.Epoch, items)
-	if err != nil {
-		return nil, err
-	}
-	eb.full = wire.SignRekey(priv, full)
-
 	eb.refs.Store(1)
 	return eb, nil
 }
@@ -113,17 +100,6 @@ func (eb *epochBuffer) release() {
 		itemBufPool.Put(eb.itemBuf[:0]) //nolint:staticcheck // slice, not pointer: the backing array is what we recycle
 	}
 	eb.itemBuf = nil
-}
-
-// appendSparseFrame appends the complete sparse payload for idx to dst —
-// the convenience (single-buffer) form used by the TCP repair path; the
-// writer hot path uses appendSparseHead plus vectored item ranges instead.
-func (eb *epochBuffer) appendSparseFrame(dst []byte, idx []uint32) []byte {
-	dst = wire.AppendSparseHead(dst, eb.epoch, eb.tree, eb.root, eb.rootSig, idx)
-	for _, v := range idx {
-		dst = append(dst, eb.item(int(v))...)
-	}
-	return dst
 }
 
 // itemRanges appends the byte ranges of the (ascending) item indexes as

@@ -40,10 +40,20 @@ func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, core.Scheme, *co
 	return eb, sc, rekey, pub
 }
 
+// sparseFrame assembles the complete sparse payload for idx in one buffer:
+// the head the writer emits, then the item bytes it sends as ranges.
+func sparseFrame(eb *epochBuffer, idx []uint32) []byte {
+	frame := wire.AppendSparseHead(nil, eb.epoch, eb.tree, eb.root, eb.rootSig, idx)
+	for _, v := range idx {
+		frame = append(frame, eb.item(int(v))...)
+	}
+	return frame
+}
+
 // TestEpochBufferSparseFrames checks that every member's assembled sparse
-// frame decodes, verifies, and carries exactly the items wrapped under
-// keys the member holds (the batch has no joiners to exclude) — and that
-// sparseSize predicted the frame size.
+// frame decodes, verifies, and carries exactly the items of
+// rekey.AllItems() wrapped under keys the member holds (the batch has no
+// joiners to exclude) — and that sparseSize predicted the frame size.
 func TestEpochBufferSparseFrames(t *testing.T) {
 	eb, sc, rekey, pub := buildEpochBuffer(t, 50)
 	items := rekey.AllItems()
@@ -71,7 +81,7 @@ func TestEpochBufferSparseFrames(t *testing.T) {
 		if len(idx) == 0 {
 			continue
 		}
-		frame := eb.appendSparseFrame(nil, got)
+		frame := sparseFrame(eb, got)
 		if n := eb.sparseSize(got); n != len(frame) {
 			t.Fatalf("member %d: sparseSize=%d, frame is %d bytes", m, n, len(frame))
 		}
@@ -83,9 +93,13 @@ func TestEpochBufferSparseFrames(t *testing.T) {
 			t.Fatalf("member %d: decoded epoch=%d items=%d, want epoch=%d items=%d",
 				m, sr.Epoch, len(sr.Items), rekey.Epoch, len(idx))
 		}
+		if !slices.Equal(sr.Indexes, idx) {
+			t.Fatalf("member %d: frame indexes %v, want %v", m, sr.Indexes, idx)
+		}
 		for i, v := range sr.Indexes {
-			a, b := sr.Items[i].Wrapped.Marshal(), items[v].Wrapped.Marshal()
-			if !bytes.Equal(a, b) {
+			got, want := sr.Items[i], items[v]
+			if got.Kind != want.Kind || got.Level != want.Level ||
+				!bytes.Equal(got.Wrapped.Marshal(), want.Wrapped.Marshal()) {
 				t.Fatalf("member %d: item %d differs from source item %d", m, i, v)
 			}
 		}
@@ -94,23 +108,10 @@ func TestEpochBufferSparseFrames(t *testing.T) {
 	if covered == 0 {
 		t.Fatal("rekey addressed nobody")
 	}
-	// The sealed legacy blob is byte-compatible with the old full path.
-	inner, err := wire.OpenSignedRekey(pub, eb.full)
-	if err != nil {
-		t.Fatalf("OpenSignedRekey(full): %v", err)
-	}
-	epoch, fullItems, err := wire.DecodeRekey(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != rekey.Epoch || len(fullItems) != len(items) {
-		t.Fatalf("full blob: epoch=%d items=%d, want %d/%d", epoch, len(fullItems), rekey.Epoch, len(items))
-	}
 }
 
 // TestEpochBufferItemRanges checks that vectored ranges coalesce runs of
-// consecutive indexes and reproduce exactly the appendSparseFrame item
-// bytes.
+// consecutive indexes and reproduce exactly the item bytes.
 func TestEpochBufferItemRanges(t *testing.T) {
 	eb, _, _, _ := buildEpochBuffer(t, 51)
 	if eb.nItems < 8 {

@@ -209,30 +209,23 @@ func TestWatermarkRecoveryResetsStrikes(t *testing.T) {
 		t.Fatal("queue never overflowed")
 	}
 
-	// The client recovers: drain every queued frame.
-	drained := make(chan struct{})
-	rekeys := 0
+	// The client recovers: it reads every frame from here on. The queue
+	// depth drops only after the writer's write returns, so the drain is
+	// awaited on the depth rather than on the reader.
+	var rekeys atomic.Int64
 	go func() {
-		defer close(drained)
-		cliEnd.SetReadDeadline(time.Now().Add(testTimeout))
 		for {
 			typ, _, err := wire.ReadFrame(cliEnd)
 			if err != nil {
 				return
 			}
-			if typ == wire.MsgRekey {
-				rekeys++
-			}
-			if s.QueuedFrames() == 0 {
-				return
+			if typ == wire.MsgRekeySparse {
+				rekeys.Add(1)
 			}
 		}
 	}()
-	<-drained
-	if rekeys == 0 {
-		t.Fatal("recovered client read no rekey frames")
-	}
 	waitFor(t, "queue drain", func() bool { return s.QueuedFrames() == 0 })
+	waitFor(t, "a rekey frame read by the recovered client", func() bool { return rekeys.Load() > 0 })
 
 	// The next enqueue lands below the low watermark and resets strikes.
 	if _, err := s.RekeyNow(); err != nil {
@@ -483,7 +476,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // TestSparseWriterAllocsCeiling pins the steady-state allocation cost of
 // the writer hot path. The frame header, sparse-head buffer and vector
 // list are writer-owned and reused, so a sparse frame costs only the
-// multiproof walk's scratch slice and the full-blob path costs nothing.
+// multiproof walk's scratch slice and a plain payload frame costs nothing.
 func TestSparseWriterAllocsCeiling(t *testing.T) {
 	sc := newScheme(t, 40)
 	var b core.Batch
@@ -529,12 +522,12 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	}); allocs > 2 {
 		t.Fatalf("sparse writeFrame allocs/op = %v, want ≤ 2 (proof-walk scratch only)", allocs)
 	}
-	full := frame{t: wire.MsgRekey, payload: eb.full}
+	data := frame{t: wire.MsgData, payload: wire.SignRekey(priv, make([]byte, 256))}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := cc.writeFrame(full); err != nil {
+		if err := cc.writeFrame(data); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Fatalf("full-blob writeFrame allocs/op = %v, want 0", allocs)
+		t.Fatalf("payload writeFrame allocs/op = %v, want 0", allocs)
 	}
 }

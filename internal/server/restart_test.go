@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"groupkey/internal/core"
 	"groupkey/internal/keytree"
 	"groupkey/internal/store"
 	"groupkey/internal/wire"
@@ -219,5 +222,101 @@ func TestServerRestartResumeThenLeave(t *testing.T) {
 	}
 	if srv3.Size() != 0 {
 		t.Fatalf("group size %d after full churn, want 0", srv3.Size())
+	}
+}
+
+// crashPersister journals through the store but never snapshots, so
+// closing a server that uses it models a crash: every operation since the
+// last snapshot lives only in the WAL.
+type crashPersister struct{ *store.Store }
+
+func (crashPersister) SaveSnapshot(core.Scheme, keytree.MemberID) error { return nil }
+
+// TestResumeAfterJournalOnlyRotation covers the journal-before-broadcast
+// crash window: a rotation is journaled and applied while the only member
+// is detached, and the server dies before it snapshots. The recovered
+// server re-derives the rotation, and the member resuming against it
+// receives that epoch as a sparse frame and holds the recovered group key
+// without any further rekey.
+func TestResumeAfterJournalOnlyRotation(t *testing.T) {
+	dir := t.TempDir()
+
+	// Life 1: a member joins, saves its state and detaches.
+	srv, st, _ := startDurableServer(t, dir)
+	c := dial(t, srv, wire.JoinRequest{})
+	state, err := c.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Life 2: rotate with nobody connected, then crash.
+	srv2, st2, _ := startDurableServer(t, dir)
+	srv2.Persist(crashPersister{st2}, 0)
+	rk, err := srv2.RotateNow()
+	if err != nil {
+		t.Fatalf("RotateNow: %v", err)
+	}
+	rotated, err := srv2.scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Life 3: recover, and resume through a relay that records what the
+	// server sends.
+	srv3, st3, res := startDurableServer(t, dir)
+	defer func() {
+		srv3.Close()
+		st3.Close()
+	}()
+	if res.LastRekey == nil || res.LastRekey.Epoch != rk.Epoch {
+		t.Fatalf("recovery did not replay the rotation (epoch %d)", rk.Epoch)
+	}
+	var mu sync.Mutex
+	var sent []wire.MsgType
+	relay := newRelay(t, srv3.Addr().String(), func() func(wire.MsgType, []byte) {
+		return func(typ wire.MsgType, _ []byte) {
+			mu.Lock()
+			sent = append(sent, typ)
+			mu.Unlock()
+		}
+	})
+	rc, err := ResumeDial(relay, state, testTimeout)
+	if err != nil {
+		t.Fatalf("ResumeDial: %v", err)
+	}
+	defer rc.Close()
+	if err := rc.WaitEpoch(rk.Epoch, testTimeout); err != nil {
+		t.Fatalf("resumed member never reached the rotation: %v", err)
+	}
+	recovered, err := srv3.scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered != rotated {
+		t.Fatal("recovery derived a different group key than the lost instance")
+	}
+	if !rc.HasKey(recovered) {
+		t.Fatal("resumed member lacks the recovered group key")
+	}
+	if got := srv3.Epoch(); got != rk.Epoch {
+		t.Fatalf("server at epoch %d, want %d: no rekey may follow recovery", got, rk.Epoch)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []wire.MsgType{wire.MsgWelcome, wire.MsgRekeySparse}; !slices.Equal(sent, want) {
+		t.Fatalf("server sent %v on resume, want %v", sent, want)
 	}
 }

@@ -220,9 +220,9 @@ func (c *Client) trackIndividualLocked(items []keytree.Item, handoffPossible boo
 	if !handoffPossible {
 		return
 	}
-	// Receiver lists are not transmitted (wire.EncodeRekey), but no list is
-	// needed: nobody else holds this member's leaf, so a JoinerWrap sealed
-	// under it is addressed to us by construction.
+	// Frames carry no receiver lists, and none is needed: nobody else
+	// holds this member's leaf, so a JoinerWrap sealed under it is
+	// addressed to us by construction.
 	for _, it := range items {
 		if it.Kind == keytree.JoinerWrap &&
 			it.Wrapped.WrapperID == c.indiv.ID && it.Wrapped.PayloadID != c.indiv.ID {

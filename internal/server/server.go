@@ -118,15 +118,13 @@ type Server struct {
 	totalRekeys uint64
 	peakMembers int
 
-	// Durability (see Persist). lastRekeyBlob is the signed frame of the
-	// newest rekey, re-sent to resuming members to close the
-	// journal-before-broadcast crash window. lastEpoch is the newest
-	// epoch buffer (one reference held here), serving MsgRekeyPull repair
-	// requests sparsely.
+	// Durability (see Persist). lastEpoch is the newest epoch buffer (one
+	// reference held here). It answers MsgRekeyPull repair requests and is
+	// re-sent to resuming members, which closes the journal-before-broadcast
+	// crash window.
 	persister     Persister
 	snapshotEvery int
 	opsSinceSnap  int
-	lastRekeyBlob []byte
 	lastEpoch     *epochBuffer
 
 	// Datagram rekey plane (see udp.go); nil unless ServeUDP was called.
@@ -140,7 +138,6 @@ type pendingJoin struct {
 	id   keytree.MemberID
 	meta core.MemberMeta
 	conn net.Conn
-	caps uint8
 }
 
 // New creates a server around a key-management scheme. rng supplies nonces
@@ -192,20 +189,23 @@ func (s *Server) SetNextID(id keytree.MemberID) {
 	}
 }
 
-// SetLastRekey primes the resume re-delivery buffer with a recovered
-// rekey, so members reconnecting after a crash that hit between journal
-// and broadcast still receive the payload the lost instance derived.
+// SetLastRekey seals a recovered rekey as the retained epoch, so members
+// reconnecting after a crash that hit between journal and broadcast still
+// receive the payload the lost instance derived. r must come from the
+// server's scheme: it routes members by their current key paths until the
+// scheme rekeys again.
 func (s *Server) SetLastRekey(r *core.Rekey) error {
 	if r == nil {
 		return nil
 	}
-	blob, err := wire.EncodeRekey(r.Epoch, r.AllItems())
+	eb, err := newEpochBuffer(s.signPriv, r)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lastRekeyBlob = wire.SignRekey(s.signPriv, blob)
+	s.dropLastEpochLocked()
+	s.lastEpoch = eb
 	return nil
 }
 
@@ -230,26 +230,6 @@ func (s *Server) checkFenceLocked() error {
 		return fmt.Errorf("%w: %v", ErrFenced, err)
 	}
 	return nil
-}
-
-// LastRekeyBlob returns the signed frame of the newest rekey (nil before
-// the first), for handing off to a successor server instance over the same
-// signing key — the cluster layer re-primes a re-promoted server with it.
-func (s *Server) LastRekeyBlob() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastRekeyBlob
-}
-
-// SetLastRekeyBlob primes the resume re-delivery buffer with an
-// already-signed rekey frame captured from a previous server generation.
-func (s *Server) SetLastRekeyBlob(blob []byte) {
-	if blob == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastRekeyBlob = blob
 }
 
 // BootstrapState runs fn under the server lock with a consistent view of
@@ -391,7 +371,6 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				id:   memberID,
 				meta: core.MemberMeta{LossRate: req.LossRate, LongLived: req.LongLived},
 				conn: conn,
-				caps: req.Caps,
 			})
 			s.mu.Unlock()
 		case wire.MsgLeave:
@@ -412,10 +391,9 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 		case wire.MsgRekeyPull:
 			// TCP repair: a member that could not complete an epoch from the
 			// datagram plane (or missed a sparse frame) pulls its slice
-			// authoritatively. Answer sparsely from the retained epoch
-			// buffer when it still matches; fall back to the full blob.
-			epoch, err := wire.DecodeRekeyPull(payload)
-			if err != nil {
+			// authoritatively from the retained epoch — the newest, whatever
+			// epoch was asked for. With none retained there is nothing to send.
+			if _, err := wire.DecodeRekeyPull(payload); err != nil {
 				s.reject(conn, err)
 				return
 			}
@@ -426,14 +404,7 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				s.reject(conn, errors.New("pull rejected: not a member"))
 				return
 			}
-			switch {
-			case s.lastEpoch != nil && s.lastEpoch.epoch == epoch && cc.caps&wire.CapSparse != 0:
-				eb := s.lastEpoch
-				eb.retain()
-				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: eb.indexesFor(memberID)})
-			case s.lastRekeyBlob != nil:
-				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekey, payload: s.lastRekeyBlob})
-			}
+			s.enqueueLastEpochLocked(memberID, cc)
 			s.metrics.noteRepairPull()
 			s.mu.Unlock()
 		default:
@@ -448,10 +419,11 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 // only the genuine member (and the server) holds that key, so a valid
 // proof authenticates without a whole-group rekey. On success the server
 // re-sends the signed welcome (re-pinning the server key) and the newest
-// rekey frame, closing the journal-before-broadcast crash window: a rekey
-// that was journaled but never broadcast reaches the member here. Like
-// MsgWelcome, the reply carries the individual key in the clear and so
-// rides the same confidential-registration-channel assumption (use TLS).
+// epoch's sparse frame, closing the journal-before-broadcast crash window:
+// a rekey that was journaled but never broadcast reaches the member here.
+// Like MsgWelcome, the reply carries the individual key in the clear and
+// so rides the same confidential-registration-channel assumption (use
+// TLS).
 func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree.MemberID) bool {
 	s.mu.Lock()
 	if s.closed || *memberID != 0 || !s.scheme.Contains(req.Member) {
@@ -480,7 +452,7 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 	*memberID = req.Member
 	// A disconnect queued this member for eviction; reconnecting revokes it.
 	delete(s.pendingLeaves, req.Member)
-	cc := s.startClientLocked(conn, req.Caps)
+	cc := s.startClientLocked(conn)
 	s.conns[req.Member] = cc
 	s.metrics.setConnections(len(s.conns))
 	welcome := wire.SignedWelcome{
@@ -488,14 +460,21 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 		ServerKey: s.signPub,
 	}
 	s.enqueueLocked(req.Member, cc, frame{t: wire.MsgWelcome, payload: welcome.Encode()})
-	if s.lastRekeyBlob != nil {
-		// Re-delivery always uses the full blob: the resuming member may
-		// have missed receiver-set changes, and full payloads are valid for
-		// every capability level.
-		s.enqueueLocked(req.Member, cc, frame{t: wire.MsgRekey, payload: s.lastRekeyBlob})
-	}
+	s.enqueueLastEpochLocked(req.Member, cc)
 	s.mu.Unlock()
 	return true
+}
+
+// enqueueLastEpochLocked queues member m's sparse frame of the retained
+// epoch, if any: the resume re-delivery and the MsgRekeyPull answer.
+// Callers hold s.mu.
+func (s *Server) enqueueLastEpochLocked(m keytree.MemberID, cc *clientConn) {
+	eb := s.lastEpoch
+	if eb == nil {
+		return
+	}
+	eb.retain()
+	s.enqueueLocked(m, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: eb.indexesFor(m)})
 }
 
 func (s *Server) reject(conn net.Conn, err error) {
@@ -521,11 +500,7 @@ func (s *Server) RekeyNow() (*core.Rekey, error) {
 
 	start := s.now()
 	b := core.Batch{}
-	type admitted struct {
-		conn net.Conn
-		caps uint8
-	}
-	joinConn := make(map[keytree.MemberID]admitted)
+	joinConn := make(map[keytree.MemberID]net.Conn)
 	for _, pj := range s.pendingJoins {
 		if s.pendingLeaves[pj.id] {
 			// Joined and disconnected within one period: never admitted.
@@ -533,7 +508,7 @@ func (s *Server) RekeyNow() (*core.Rekey, error) {
 			continue
 		}
 		b.Joins = append(b.Joins, core.Join{ID: pj.id, Meta: pj.meta})
-		joinConn[pj.id] = admitted{conn: pj.conn, caps: pj.caps}
+		joinConn[pj.id] = pj.conn
 	}
 	for m := range s.pendingLeaves {
 		b.Leaves = append(b.Leaves, m)
@@ -569,19 +544,19 @@ func (s *Server) RekeyNow() (*core.Rekey, error) {
 	// signing public key they will verify all future frames against. A
 	// joiner that vanished mid-registration fails asynchronously: its
 	// writer tears the conn down and the read side queues the eviction.
-	for id, adm := range joinConn {
+	for id, conn := range joinConn {
 		welcome := wire.SignedWelcome{
 			Welcome:   wire.Welcome{Member: id, Key: rekey.Welcome[id]},
 			ServerKey: s.signPub,
 		}
-		cc := s.startClientLocked(adm.conn, adm.caps)
+		cc := s.startClientLocked(conn)
 		s.conns[id] = cc
 		s.enqueueLocked(id, cc, frame{t: wire.MsgWelcome, payload: welcome.Encode()})
 	}
 
-	// Broadcast the full rekey payload. Empty payloads still go out: the
-	// epoch announcement doubles as the rekey-interval heartbeat members
-	// use to detect missed rekeys.
+	// Broadcast the rekey. Empty payloads still go out: the epoch
+	// announcement doubles as the rekey-interval heartbeat members use to
+	// detect missed rekeys.
 	sent, err := s.broadcastRekeyLocked(rekey)
 	if err != nil {
 		return nil, err
@@ -631,10 +606,10 @@ func (s *Server) noteRekeyLocked(rekey *core.Rekey, joins, leaves, bytes int, d 
 	s.metrics.setConnections(len(s.conns))
 }
 
-// dropLastEpochLocked releases the epoch retained for MsgRekeyPull repair.
+// dropLastEpochLocked releases the epoch retained for resume and repair.
 // That epoch routes members by the scheme's current key paths, so it is
 // dropped before the scheme rekeys again — even when that rekey fails
-// after mutating the scheme. Pulls then fall back to the full blob.
+// after mutating the scheme. Pulls and resumes then get no rekey frame.
 // Callers hold s.mu.
 func (s *Server) dropLastEpochLocked() {
 	if s.lastEpoch != nil {
@@ -645,21 +620,19 @@ func (s *Server) dropLastEpochLocked() {
 
 // broadcastRekeyLocked seals one rekey payload into an epoch buffer —
 // items encoded once, Merkle root signed once — and fans out per-client
-// descriptors: sparse-capable clients get {epoch buffer, their indexes}
-// (their writers assemble O(log N)-item frames off this lock), datagram
-// subscribers get a digest while their keys travel over UDP, and legacy
-// clients get the full signed blob. Returns the payload bytes accepted
-// for delivery. A client whose queue keeps overflowing is evicted inline
-// (enqueueLocked); a client whose transport fails is cleaned up by its
-// writer and read side. Callers hold s.mu.
+// descriptors: TCP clients get {epoch buffer, their indexes} (their
+// writers assemble O(log N)-item frames off this lock), and datagram
+// subscribers get a digest while their keys travel over UDP. Returns the
+// payload bytes accepted for delivery. A client whose queue keeps
+// overflowing is evicted inline (enqueueLocked); a client whose transport
+// fails is cleaned up by its writer and read side. Callers hold s.mu.
 func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	s.dropLastEpochLocked()
 	eb, err := newEpochBuffer(s.signPriv, rekey)
 	if err != nil {
 		return 0, err
 	}
-	s.lastRekeyBlob = eb.full
-	s.lastEpoch = eb // holds the initial reference for MsgRekeyPull repair
+	s.lastEpoch = eb // holds the initial reference for resume and repair
 
 	// Hand the epoch to the datagram plane first: subscribers' keys go out
 	// as FEC-coded UDP packets, so their TCP frame shrinks to a digest.
@@ -668,24 +641,19 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	sent := 0
 	for _, id := range s.sortedConnIDsLocked() {
 		cc := s.conns[id]
-		switch {
-		case overUDP[id]:
+		if overUDP[id] {
 			digest := s.udp.digestFor(eb, id)
 			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeyDigest, payload: digest}) {
 				sent += len(digest)
 			}
-		case cc.caps&wire.CapSparse != 0:
-			idx := eb.indexesFor(id)
-			eb.retain()
-			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: idx}) {
-				n := eb.sparseSize(idx)
-				sent += n
-				s.metrics.noteSparseBytes(n)
-			}
-		default:
-			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekey, payload: eb.full}) {
-				sent += len(eb.full)
-			}
+			continue
+		}
+		idx := eb.indexesFor(id)
+		eb.retain()
+		if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: idx}) {
+			n := eb.sparseSize(idx)
+			sent += n
+			s.metrics.noteSparseBytes(n)
 		}
 	}
 	return sent, nil

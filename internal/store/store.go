@@ -14,8 +14,8 @@
 //
 // Write ordering is journal → apply → broadcast. A crash between journal
 // and broadcast re-derives a rekey that no member received; the resume
-// protocol (wire.MsgResume) closes that gap by re-sending the last rekey
-// payload to reconnecting members.
+// protocol (wire.MsgResume) closes that gap by re-sending each
+// reconnecting member its sparse frame of the newest epoch.
 package store
 
 import (

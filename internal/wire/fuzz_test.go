@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"groupkey/internal/keycrypt"
-	"groupkey/internal/keytree"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
@@ -65,33 +64,6 @@ func FuzzReadFrameGroup(f *testing.F) {
 		typ3, payload3, err := ReadFrame(bytes.NewReader(data))
 		if err != nil || typ3 != typ || !bytes.Equal(payload3, payload) {
 			t.Fatalf("legacy and group readers diverged: %v", err)
-		}
-	})
-}
-
-// FuzzDecodeRekey throws arbitrary bytes at the rekey decoder: no panics,
-// and accepted payloads re-encode to the same bytes.
-func FuzzDecodeRekey(f *testing.F) {
-	g := keycrypt.Generator{Rand: keycrypt.NewDeterministicReader(1)}
-	payload, _ := g.New(1, 0)
-	wrapper, _ := g.New(2, 0)
-	w, _ := keycrypt.Wrap(payload, wrapper, g.Rand)
-	blob, _ := EncodeRekey(3, []keytree.Item{{Wrapped: w, Kind: keytree.ChildWrap, Level: 1}})
-	f.Add(blob)
-	f.Add([]byte{})
-	f.Add(make([]byte, 12))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, items, err := DecodeRekey(data)
-		if err != nil {
-			return
-		}
-		re, err := EncodeRekey(epoch, items)
-		if err != nil {
-			t.Fatalf("accepted rekey failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("rekey round trip diverged")
 		}
 	})
 }

@@ -27,7 +27,7 @@ func SignRekey(priv ed25519.PrivateKey, payload []byte) []byte {
 }
 
 // OpenSignedRekey verifies and strips the signature, returning the inner
-// payload for DecodeRekey.
+// payload.
 func OpenSignedRekey(pub ed25519.PublicKey, blob []byte) ([]byte, error) {
 	if len(blob) < ed25519.SignatureSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(blob))

@@ -52,7 +52,9 @@ const (
 	// MsgWelcome is the server's registration package: the assigned member
 	// ID and individual key (payload confidential by transport assumption).
 	MsgWelcome
-	// MsgRekey carries one rekey payload: epoch plus encrypted key items.
+	// MsgRekey was the signed full rekey payload (EncodeRekey). It is no
+	// longer sent — MsgRekeySparse is the only TCP rekey format — and keeps
+	// its number so later types do not shift.
 	MsgRekey
 	// MsgData carries application data sealed under the group key.
 	MsgData
@@ -98,8 +100,8 @@ const (
 	MsgReplAck
 	// MsgRekeySparse carries one member's slice of a rekey: only the items
 	// on that member's key-tree path, authenticated against the epoch's
-	// signed item-tree root by a Merkle multiproof (see sparse.go). Sent to
-	// sparse-capable members instead of the full MsgRekey blob.
+	// signed item-tree root by a Merkle multiproof (see sparse.go). The
+	// only rekey format on the TCP session.
 	MsgRekeySparse
 	// MsgRekeyDigest announces an epoch whose keys travel on the datagram
 	// plane: the signed item-tree root plus the member's leaf indexes and
@@ -253,12 +255,10 @@ func readFrame(r io.Reader) (GroupID, MsgType, []byte, bool, error) {
 	return g, MsgType(body[0] &^ groupFlag), body[5:], true, nil
 }
 
-// Client capability flags, negotiated at join/resume time. A zero caps
-// byte (or its absence — the legacy 9-byte join encoding) selects the
-// original behavior: full signed rekey blobs over TCP.
+// Client capability flags, carried in join and resume requests.
 const (
-	// CapSparse: the client decodes MsgRekeySparse frames, so the server
-	// sends it only the items on its tree path instead of the full blob.
+	// CapSparse: the client decodes MsgRekeySparse frames. Clients still
+	// set it, but the server ignores it: every member gets sparse frames.
 	CapSparse uint8 = 1 << 0
 	// CapDatagram: the client may subscribe to the UDP rekey plane; the
 	// server then demotes its TCP session to control/repair (MsgRekeyDigest
@@ -516,9 +516,9 @@ func DecodeRekeyItem(b []byte) (keytree.Item, error) {
 	}, nil
 }
 
-// EncodeRekey serializes a rekey payload: epoch(8) + count(4) + items.
-// Receiver lists are not transmitted — receivers decide relevance by the
-// sparseness test (can I unwrap it?).
+// EncodeRekey serializes a full rekey payload: epoch(8) + count(4) +
+// items. Nothing sends it any more; it prices the full blob that sparse
+// fan-out replaces (see internal/experiments).
 func EncodeRekey(epoch uint64, items []keytree.Item) ([]byte, error) {
 	if len(items) > (MaxFrameSize-12)/itemSize {
 		return nil, fmt.Errorf("%w: %d items", ErrFrameTooLarge, len(items))
@@ -533,28 +533,6 @@ func EncodeRekey(epoch uint64, items []keytree.Item) ([]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// DecodeRekey parses a MsgRekey payload.
-func DecodeRekey(b []byte) (epoch uint64, items []keytree.Item, err error) {
-	if len(b) < 12 {
-		return 0, nil, fmt.Errorf("%w: rekey payload %d bytes", ErrMalformed, len(b))
-	}
-	epoch = binary.BigEndian.Uint64(b[0:8])
-	count := int(binary.BigEndian.Uint32(b[8:12]))
-	rest := b[12:]
-	if len(rest) != count*itemSize {
-		return 0, nil, fmt.Errorf("%w: %d items but %d payload bytes", ErrMalformed, count, len(rest))
-	}
-	items = make([]keytree.Item, 0, count)
-	for i := 0; i < count; i++ {
-		it, err := DecodeRekeyItem(rest[i*itemSize : (i+1)*itemSize])
-		if err != nil {
-			return 0, nil, fmt.Errorf("wire: item %d: %w", i, err)
-		}
-		items = append(items, it)
-	}
-	return epoch, items, nil
 }
 
 // EncodeRekeyPull serializes a MsgRekeyPull payload: the epoch the client

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -113,35 +114,23 @@ func TestRekeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeRekey: %v", err)
 	}
-	epoch, got, err := DecodeRekey(blob)
-	if err != nil {
-		t.Fatalf("DecodeRekey: %v", err)
+	if len(blob) != 12+len(items)*RekeyItemSize {
+		t.Fatalf("blob is %d bytes, want %d", len(blob), 12+len(items)*RekeyItemSize)
 	}
-	if epoch != 9 || len(got) != len(items) {
-		t.Fatalf("epoch=%d items=%d, want 9/%d", epoch, len(got), len(items))
+	if epoch, n := binary.BigEndian.Uint64(blob[0:8]), binary.BigEndian.Uint32(blob[8:12]); epoch != 9 || int(n) != len(items) {
+		t.Fatalf("header epoch=%d count=%d, want 9/%d", epoch, n, len(items))
 	}
-	for i := range got {
-		if got[i].Wrapped != items[i].Wrapped || got[i].Kind != items[i].Kind || got[i].Level != items[i].Level {
+	for i := range items {
+		got, err := DecodeRekeyItem(blob[12+i*RekeyItemSize : 12+(i+1)*RekeyItemSize])
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+		if got.Wrapped != items[i].Wrapped || got.Kind != items[i].Kind || got.Level != items[i].Level {
 			t.Fatalf("item %d mismatch", i)
 		}
-		if got[i].To != 0 || got[i].Exclude != nil {
+		if got.To != 0 || got.Exclude != nil {
 			t.Fatal("routing metadata must not cross the wire")
 		}
-	}
-}
-
-func TestDecodeRekeyMalformed(t *testing.T) {
-	if _, _, err := DecodeRekey([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("short rekey: err=%v", err)
-	}
-	blob, err := EncodeRekey(1, nil)
-	if err != nil {
-		t.Fatalf("EncodeRekey(empty): %v", err)
-	}
-	// Truncate a valid empty payload's count to lie about item count.
-	blob[11] = 5
-	if _, _, err := DecodeRekey(blob); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("lying count: err=%v", err)
 	}
 }
 
